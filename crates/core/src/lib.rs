@@ -7,11 +7,13 @@
 //! * A flat Fiduccia–Mattheyses bipartitioner ([`fm::BipartFm`]) with
 //!   gain-bucket selection, LIFO tie-breaking, the CLIP variant of Dutt &
 //!   Deng, full fixed-vertex awareness, balance constraints, per-pass
-//!   statistics (Table II of the paper) and hard pass cutoffs (Table III).
+//!   statistics (Table II of the paper), hard pass cutoffs (Table III) and
+//!   the adaptive balance-aware stall rule ([`PassCutoff::Stall`]).
 //! * A multilevel partitioner ([`multilevel::MultilevelPartitioner`]):
 //!   heavy-edge-matching / first-choice coarsening that respects fixities,
-//!   FM at the coarsest level, refinement during uncoarsening, and optional
-//!   V-cycling (which the paper found to be a net loss — kept for ablation).
+//!   FM at the coarsest level, stall-rule FM refinement during
+//!   uncoarsening, and optional V-cycling (which the paper found to be a
+//!   net loss — kept for ablation).
 //! * A multistart driver ([`multistart::Multistart`]) reproducing the
 //!   paper's 1/2/4/8-start protocol, with an iterated-multilevel quality
 //!   phase ([`quality`]): V-cycles over the best solution and ensemble

@@ -5,7 +5,9 @@
 //! two starts, i.e., further starts are unnecessary." Section III: pass
 //! cutoffs are safe (and fast) once terminals are sufficient, harmful on
 //! free hypergraphs. These functions encode that guidance so a caller in
-//! the top-down-placement context can spend effort where it pays.
+//! the top-down-placement context can spend effort where it pays. (The
+//! multilevel engine's refinement needs no such tuning: its default
+//! balance-aware stall rule, [`PassCutoff::Stall`], adapts to the instance.)
 
 use crate::config::{FmConfig, PassCutoff};
 
@@ -103,7 +105,9 @@ mod tests {
         let frac = |c: PassCutoff| match c {
             PassCutoff::Unlimited => 1.0,
             PassCutoff::Fraction(f) => f,
-            PassCutoff::Moves(_) => unreachable!("policy never emits Moves"),
+            PassCutoff::Moves(_) | PassCutoff::Stall(_) => {
+                unreachable!("policy never emits Moves or Stall")
+            }
         };
         let mut prev = f64::INFINITY;
         for f in [0.0, 0.10, 0.20, 0.50, 1.0] {

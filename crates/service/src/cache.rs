@@ -58,8 +58,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// groups first, the high bit set on every byte but the last. Varints are
+/// self-delimiting, so a sequence of them decodes unambiguously and the
+/// key stays injective while small ids and weights take one byte.
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 /// Builds the content address of a job. `parallel_refine` is the
@@ -72,7 +80,8 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 ///
 /// The encoding is length-prefixed throughout, so distinct structures can
 /// never alias (e.g. moving a weight from one vertex to the next changes
-/// the bytes even though the concatenation is identical).
+/// the bytes even though the concatenation is identical). Every integer is
+/// an LEB128 varint; the tolerance is its 8-byte IEEE bit pattern.
 #[allow(clippy::too_many_arguments)]
 pub fn cache_key(
     engine: &str,
@@ -88,17 +97,17 @@ pub fn cache_key(
     hg: &Hypergraph,
     fixed: &FixedVertices,
 ) -> CacheKey {
-    let mut bytes = Vec::with_capacity(64 + 8 * (hg.num_vertices() + hg.num_pins()));
-    push_u64(&mut bytes, engine.len() as u64);
+    let mut bytes = Vec::with_capacity(64 + 2 * (hg.num_vertices() + hg.num_pins()));
+    push_varint(&mut bytes, engine.len() as u64);
     bytes.extend_from_slice(engine.as_bytes());
-    push_u64(&mut bytes, k as u64);
-    push_u64(&mut bytes, tolerance.to_bits());
-    push_u64(&mut bytes, starts as u64);
-    push_u64(&mut bytes, seed);
-    push_u64(&mut bytes, parallel_refine as u64);
-    push_u64(&mut bytes, vcycles as u64);
-    push_u64(&mut bytes, ensemble as u64);
-    push_u64(
+    push_varint(&mut bytes, k as u64);
+    bytes.extend_from_slice(&tolerance.to_bits().to_le_bytes());
+    push_varint(&mut bytes, starts as u64);
+    push_varint(&mut bytes, seed);
+    push_varint(&mut bytes, parallel_refine as u64);
+    push_varint(&mut bytes, vcycles as u64);
+    push_varint(&mut bytes, ensemble as u64);
+    push_varint(
         &mut bytes,
         match objective {
             Objective::Cut => 0,
@@ -107,48 +116,48 @@ pub fn cache_key(
         },
     );
     match part_capacities {
-        None => push_u64(&mut bytes, 0),
+        None => push_varint(&mut bytes, 0),
         Some(caps) => {
-            push_u64(&mut bytes, 1);
-            push_u64(&mut bytes, caps.num_parts() as u64);
-            push_u64(&mut bytes, caps.num_resources() as u64);
+            push_varint(&mut bytes, 1);
+            push_varint(&mut bytes, caps.num_parts() as u64);
+            push_varint(&mut bytes, caps.num_resources() as u64);
             for &c in caps.as_flat() {
-                push_u64(&mut bytes, c);
+                push_varint(&mut bytes, c);
             }
         }
     }
 
-    push_u64(&mut bytes, hg.num_vertices() as u64);
-    push_u64(&mut bytes, hg.num_resources() as u64);
+    push_varint(&mut bytes, hg.num_vertices() as u64);
+    push_varint(&mut bytes, hg.num_resources() as u64);
     for v in hg.vertices() {
         for &w in hg.vertex_weights(v) {
-            push_u64(&mut bytes, w);
+            push_varint(&mut bytes, w);
         }
     }
-    push_u64(&mut bytes, hg.num_nets() as u64);
+    push_varint(&mut bytes, hg.num_nets() as u64);
     for n in hg.nets() {
-        push_u64(&mut bytes, hg.net_weight(n));
-        push_u64(&mut bytes, hg.net_size(n) as u64);
+        push_varint(&mut bytes, hg.net_weight(n));
+        push_varint(&mut bytes, hg.net_size(n) as u64);
         for &p in hg.net_pins(n) {
-            push_u64(&mut bytes, p.index() as u64);
+            push_varint(&mut bytes, p.index() as u64);
         }
     }
 
-    push_u64(&mut bytes, fixed.len() as u64);
+    push_varint(&mut bytes, fixed.len() as u64);
     for fixity in fixed.as_slice() {
         match fixity {
-            Fixity::Free => push_u64(&mut bytes, u64::MAX),
+            Fixity::Free => push_varint(&mut bytes, 0),
             Fixity::Fixed(p) => {
-                push_u64(&mut bytes, 0);
-                push_u64(&mut bytes, p.index() as u64);
+                push_varint(&mut bytes, 1);
+                push_varint(&mut bytes, p.index() as u64);
             }
             Fixity::FixedAny(set) => {
-                push_u64(&mut bytes, 1);
+                push_varint(&mut bytes, 2);
                 let mut mask = 0u64;
                 for p in set.iter() {
                     mask |= 1 << p.index();
                 }
-                push_u64(&mut bytes, mask);
+                push_varint(&mut bytes, mask);
             }
         }
     }
@@ -267,8 +276,10 @@ impl SolutionCache {
             e.last_used = self.tick;
             return;
         }
+        let mut key_bytes = key.bytes;
+        key_bytes.shrink_to_fit();
         bucket.push(Entry {
-            key_bytes: key.bytes,
+            key_bytes,
             parts,
             cut,
             last_used: self.tick,
@@ -418,6 +429,64 @@ mod tests {
             "fixities are part of the address"
         );
         assert_ne!(base, key_of(&chain(7), &FixedVertices::all_free(7), 7));
+    }
+
+    /// A hypergraph over `weights.len()` vertices with the given nets.
+    fn build(weights: &[u64], nets: &[&[usize]]) -> Hypergraph {
+        let mut b = HypergraphBuilder::new();
+        let v: Vec<_> = weights.iter().map(|&w| b.add_vertex(w)).collect();
+        for pins in nets {
+            b.add_net(1, pins.iter().map(|&p| v[p])).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn bytes_of(hg: &Hypergraph) -> Vec<u8> {
+        key_of(hg, &FixedVertices::all_free(hg.num_vertices()), 7).bytes
+    }
+
+    #[test]
+    fn varints_are_leb128() {
+        let cases: &[(u64, &[u8])] = &[
+            (0, &[0x00]),
+            (1, &[0x01]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xac, 0x02]),
+            (
+                u64::MAX,
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+            ),
+        ];
+        for &(v, want) in cases {
+            let mut out = Vec::new();
+            push_varint(&mut out, v);
+            assert_eq!(out, want, "{v}");
+        }
+    }
+
+    #[test]
+    fn weight_moved_to_a_neighbour_changes_the_key() {
+        let a = build(&[2, 1, 1, 1], &[&[0, 1], &[2, 3]]);
+        let b = build(&[1, 2, 1, 1], &[&[0, 1], &[2, 3]]);
+        assert_ne!(bytes_of(&a), bytes_of(&b));
+    }
+
+    #[test]
+    fn a_large_pin_id_never_reads_as_two_small_ones() {
+        // 128 encodes as [0x80, 0x01]; the net {5, 0, 1} has the same pin
+        // count in bytes, but the high bit ties 0x80 to its successor.
+        let weights = [1; 130];
+        let a = build(&weights, &[&[5, 128]]);
+        let b = build(&weights, &[&[5, 0, 1]]);
+        assert_ne!(bytes_of(&a), bytes_of(&b));
+    }
+
+    #[test]
+    fn a_shifted_net_boundary_changes_the_key() {
+        let a = build(&[1; 5], &[&[0, 1, 2], &[3, 4]]);
+        let b = build(&[1; 5], &[&[0, 1], &[2, 3, 4]]);
+        assert_ne!(bytes_of(&a), bytes_of(&b));
     }
 
     #[test]

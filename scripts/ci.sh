@@ -12,6 +12,14 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+# The repository benchmark (perfbench/) is a standalone Cargo package that
+# builds the workspace crates through path dependencies, so the workspace
+# build above never compiles it. Running its self-tests here catches a
+# workspace API change (a new enum variant, a renamed function) that would
+# break the benchmark.
+echo "==> cargo test --release --offline (perfbench self-tests)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check --all
 
