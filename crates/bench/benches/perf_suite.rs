@@ -123,8 +123,9 @@ fn bench_flat_fm(
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
 ) {
-    // A full flat-FM run; the parallel gain initialization dominates the
-    // start of every pass on an instance this size.
+    // A full flat-FM run; threads only parallelise its one-time gain
+    // initialization (and any full recompute after a pass that keeps most
+    // of its moves).
     let mut group = c.benchmark_group("partition/flat_fm");
     group.sample_size(10);
     for threads in [1usize, 4] {

@@ -184,7 +184,9 @@ pub struct MultilevelConfig {
     /// Number of V-cycles (0 = plain V; the paper disables V-cycling).
     pub vcycles: usize,
     /// Worker-thread budget for the parallel hot paths (heavy-edge match
-    /// scoring, cluster contraction, FM/k-way gain initialization). The
+    /// scoring, cluster contraction, FM/k-way gain initialization). 2-way
+    /// FM computes its gains in full once per level, not at the start of
+    /// every pass; later passes patch them on one thread. The
     /// result is byte-identical for every value — the parallel phases
     /// compute exactly what the sequential code would and every
     /// state-dependent decision replays in the original order — so this is

@@ -62,7 +62,7 @@ use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Hypergraph, Objective, P
 use crate::annealing::{simulated_annealing_cancellable, AnnealingConfig};
 use crate::cancel::CancelToken;
 use crate::config::{FmConfig, MultilevelConfig, PassCutoff};
-use crate::fm::{is_movable, BipartFm};
+use crate::fm::{BipartFm, FmLevel};
 use crate::initial::random_initial;
 use crate::kl::{kernighan_lin_cancellable, KlConfig};
 use crate::kway;
@@ -589,6 +589,13 @@ impl Refiner for BipartFm {
 /// worsens its input, so the stack dominates either stage alone (the
 /// default [`MultilevelConfig`] stacks CLIP then LIFO).
 ///
+/// Both stages run on one FM state per level: one partitioning, one set of
+/// gain buckets, one gain cache and the pass buffers, set up once. The
+/// result equals two [`BipartFm`] runs, the second starting from the
+/// first's answer, but the second stage starts from the cached gains
+/// instead of rebuilding everything. A cancelled stack records one
+/// [`vlsi_trace::Event::Cancelled`] and skips the stage not yet started.
+///
 /// A stage configured with [`PassCutoff::Stall`] keeps that cutoff only on
 /// levels with at least 5,000 movable vertices; smaller levels refine with
 /// classic full passes.
@@ -632,14 +639,14 @@ impl FmStack {
 /// passes.
 const STALL_MIN_MOVABLE: usize = 5_000;
 
-/// `fm` on `threads` workers, with classic full passes in place of a stall
-/// cutoff on a level smaller than [`STALL_MIN_MOVABLE`].
-fn level_stage(fm: &BipartFm, small_level: bool, threads: usize) -> BipartFm {
-    let mut config = *fm.config();
+/// `config` with classic full passes in place of a stall cutoff on a level
+/// smaller than [`STALL_MIN_MOVABLE`].
+fn level_config(config: &FmConfig, small_level: bool) -> FmConfig {
+    let mut config = *config;
     if small_level && matches!(config.cutoff, PassCutoff::Stall(_)) {
         config.cutoff = PassCutoff::Unlimited;
     }
-    BipartFm::new(config).with_threads(fm.threads().max(threads))
+    config
 }
 
 impl Refiner for FmStack {
@@ -651,18 +658,28 @@ impl Refiner for FmStack {
         parts: Vec<PartId>,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        let small_level =
-            hg.vertices().filter(|&v| is_movable(fixed, v)).count() < STALL_MIN_MOVABLE;
-        let first = level_stage(&self.first, small_level, ctx.threads);
-        let r = first.run_cancellable(hg, fixed, balance, parts, ctx.sink, ctx.cancel)?;
-        let r = match &self.second {
-            Some(fm2) if !ctx.cancel.is_cancelled() => {
-                let fm2 = level_stage(fm2, small_level, ctx.threads);
-                fm2.run_cancellable(hg, fixed, balance, r.parts, ctx.sink, ctx.cancel)?
+        let stages = [Some(&self.first), self.second.as_ref()];
+        let mut level = FmLevel::new(
+            hg,
+            fixed,
+            balance,
+            parts,
+            stages.iter().flatten().map(|fm| fm.config().policy),
+            self.first.threads().max(ctx.threads),
+        )?;
+        let small_level = level.num_movable() < STALL_MIN_MOVABLE;
+        for fm in stages.into_iter().flatten() {
+            level.run(
+                &level_config(fm.config(), small_level),
+                ctx.sink,
+                ctx.cancel,
+            );
+            if level.stop_if_cancelled(ctx.sink, ctx.cancel) {
+                break;
             }
-            _ => r,
-        };
-        Ok(PartitionResult::new(r.parts, r.cut))
+        }
+        let cut = level.cut();
+        Ok(PartitionResult::new(level.into_parts(), cut))
     }
 }
 

@@ -3,7 +3,8 @@
 use vlsi_rng::Rng;
 
 use vlsi_hypergraph::{
-    BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId, Partitioning, VertexId,
+    BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, Objective, PartId, Partitioning,
+    VertexId,
 };
 use vlsi_trace::{CancelStage, Event, MoverFixity, NullSink, Sink, VecSink};
 
@@ -96,10 +97,12 @@ impl BipartFm {
         &self.config
     }
 
-    /// Sets the worker-thread budget for gain initialization at the start
-    /// of each pass. The result is byte-identical for every value (gains
-    /// are precomputed in parallel, bucket insertion replays in the
-    /// sequential order); `0` and `1` both mean single-threaded.
+    /// Sets the worker-thread budget for gain initialization. Gains are
+    /// computed from scratch once per run (and again only when a pass
+    /// keeps so many moves that patching them would cost more); later
+    /// passes patch the gains their kept moves changed, on one thread. The
+    /// result is byte-identical for every value; `0` and `1` both mean
+    /// single-threaded.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -275,95 +278,19 @@ impl BipartFm {
         sink: &S,
         cancel: &CancelToken,
     ) -> Result<FmResult, PartitionError> {
-        if balance.num_parts() != 2 {
-            return Err(PartitionError::UnsupportedPartCount {
-                requested: balance.num_parts(),
-                supported: 2,
-            });
-        }
-        let mut partitioning = Partitioning::from_parts_fixed(hg, 2, initial, fixed)?;
-
-        let movable: Vec<bool> = hg.vertices().map(|v| is_movable(fixed, v)).collect();
-        let num_movable = movable.iter().filter(|&&m| m).count();
-
-        // Maximum possible |gain| = largest total incident net weight over
-        // the *movable* vertices (immovable ones never enter the buckets;
-        // a clustered mega-terminal would otherwise blow the array up).
-        let gain_bound: i64 = hg
-            .vertices()
-            .filter(|v| movable[v.index()])
-            .map(|v| {
-                hg.vertex_nets(v)
-                    .iter()
-                    .map(|&n| hg.net_weight(n) as i64)
-                    .sum()
-            })
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        // CLIP keys are (gain - initial gain), so they span twice the range.
-        let key_bound = match self.config.policy {
-            SelectionPolicy::Lifo => gain_bound,
-            SelectionPolicy::Clip => 2 * gain_bound,
-        };
-
-        // Moves may transiently overshoot the balance window by the weight
-        // of the largest movable vertex (the classic FM relaxation); only
-        // strictly balanced prefixes are accepted.
-        let mut relax = vec![0u64; hg.num_resources()];
-        for v in hg.vertices() {
-            if movable[v.index()] {
-                for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
-                    relax[r] = relax[r].max(w);
-                }
-            }
-        }
-
-        let mut state = PassState {
+        let mut level = FmLevel::new(
             hg,
-            balance,
-            movable: &movable,
-            partitioning: &mut partitioning,
-            gains: KwayGains::new(2, hg.num_vertices(), key_bound),
-            gain: vec![0i64; hg.num_vertices()],
-            locked: vec![false; hg.num_vertices()],
-            policy: self.config.policy,
-            relax,
             fixed,
-            sink,
-            cancel,
-            threads: self.threads,
-            bucket_ops: 0,
-        };
-
-        let mut stats = RunStats::default();
-        if !cancel.is_cancelled() {
-            for pass_idx in 0..self.config.max_passes {
-                let cutoff_active = pass_idx > 0 || self.config.cutoff_first_pass;
-                let (limit, stall_limit) = if cutoff_active {
-                    let cutoff = self.config.cutoff;
-                    (cutoff.limit(num_movable), cutoff.stall_limit())
-                } else {
-                    (num_movable, usize::MAX)
-                };
-                let pass_stats = state.run_pass(pass_idx, num_movable, limit, stall_limit);
-                let improved = pass_stats.improved();
-                stats.passes.push(pass_stats);
-                if !improved || cancel.is_cancelled() {
-                    break;
-                }
-            }
-        }
-
-        let cut = partitioning.cut_value(Objective::Cut);
-        if S::ENABLED && cancel.is_cancelled() {
-            sink.record(&Event::Cancelled {
-                stage: CancelStage::FmPass,
-                value: cut,
-            });
-        }
+            balance,
+            initial,
+            [self.config.policy],
+            self.threads,
+        )?;
+        let stats = level.run(&self.config, sink, cancel);
+        level.stop_if_cancelled(sink, cancel);
+        let cut = level.cut();
         Ok(FmResult {
-            parts: partitioning.into_parts(),
+            parts: level.into_parts(),
             cut,
             stats,
         })
@@ -403,33 +330,79 @@ impl PassTrace {
     }
 }
 
-/// Mutable working state shared by the passes of one run.
-struct PassState<'a, S: Sink> {
+/// Net-mask bits: a fixed pin on side 0 or 1, then a pin locked on side 0
+/// or 1 in the current pass.
+const FIXED_ON: [u8; 2] = [0b0001, 0b0010];
+const LOCKED_ON: [u8; 2] = [0b0100, 0b1000];
+
+/// Whether a net with this mask has a fixed or locked pin on both sides.
+/// Such a net stays cut for the rest of the pass, so no move can change
+/// what it adds to an unlocked vertex's gain (zero).
+#[inline]
+fn is_dead(mask: u8) -> bool {
+    (mask | mask >> 2) & 0b11 == 0b11
+}
+
+/// The FM state of one hypergraph level, shared by every run on it.
+///
+/// It is built once per level: the partitioning with its pin counts, the
+/// movable set, the gain buckets and every per-pass buffer. All runs on a
+/// level reuse it (the stages of [`crate::FmStack`] run on one), so a pass
+/// costs one bucket fill plus the work of the moves it makes:
+///
+/// * The gain cache holds every movable vertex's gain at the start of the
+///   next pass. It is computed once. After each pass only the pins of nets
+///   that touch a kept move are recomputed: a rolled-back move restores
+///   its nets' pin counts exactly, so no other gain changes. A refresh that
+///   would cost more than a full recompute does the full one instead.
+/// * The net mask records a fixed pin and a locked pin on each side of
+///   every net. Fixed pins are seeded once, so nets between terminals on
+///   both sides are dead from the first move. The delta-gain update skips
+///   a net that was dead before the move: its updates could only reach
+///   fixed or locked pins.
+pub(crate) struct FmLevel<'a> {
     hg: &'a Hypergraph,
+    fixed: &'a FixedVertices,
     balance: &'a BalanceConstraint,
-    movable: &'a [bool],
-    partitioning: &'a mut Partitioning,
+    partitioning: Partitioning,
+    movable: Vec<bool>,
+    num_movable: usize,
+    /// Pins of the movable vertices: the cost of recomputing every gain.
+    movable_pins: usize,
+    /// Largest |gain| of a movable vertex: its total incident net weight.
+    gain_bound: i64,
+    /// Per-resource transient balance slack (largest movable vertex weight).
+    relax: Vec<u64>,
     /// Shared k-way gain container with two target parts: a vertex on side
     /// `s` lives in the bucket for its destination `s.other_side()`.
     gains: KwayGains,
+    /// Gain of every movable vertex at the start of the next pass (0 for
+    /// the others), once `cache_ready`.
+    cache: Vec<i64>,
+    cache_ready: bool,
+    /// Gains during a pass, seeded from `cache`.
     gain: Vec<i64>,
+    /// Vertices moved in the current pass. All clear between passes,
+    /// when the cache refresh borrows them as its visit marks.
     locked: Vec<bool>,
-    policy: SelectionPolicy,
-    /// Per-resource transient balance slack (largest movable vertex weight).
-    relax: Vec<u64>,
-    fixed: &'a FixedVertices,
-    sink: &'a S,
-    cancel: &'a CancelToken,
-    /// Worker-thread budget for gain initialization (`<= 1` = inline).
+    /// Per net: [`FIXED_ON`] and [`LOCKED_ON`] bits.
+    net_mask: Vec<u8>,
+    move_log: MoveLog,
+    /// CLIP's insertion order and its per-gain counts.
+    clip_order: Vec<VertexId>,
+    gain_counts: Vec<usize>,
+    /// Vertices whose cached gain the refresh recomputes.
+    stale: Vec<VertexId>,
+    /// Worker-thread budget for full gain computations (`<= 1` = inline).
     threads: usize,
     /// Gain-bucket operations of the current pass (only maintained when
-    /// `S::ENABLED`; reported on the pass's `PassEnd` event).
+    /// the sink is enabled; reported on the pass's `PassEnd` event).
     bucket_ops: u64,
 }
 
 /// Whether `v` takes part in FM moves: it may sit on both sides (vertices
 /// past the end of `fixed` are free).
-pub(crate) fn is_movable(fixed: &FixedVertices, v: VertexId) -> bool {
+fn is_movable(fixed: &FixedVertices, v: VertexId) -> bool {
     let fixity = if v.index() < fixed.len() {
         fixed.fixity(v)
     } else {
@@ -438,7 +411,145 @@ pub(crate) fn is_movable(fixed: &FixedVertices, v: VertexId) -> bool {
     fixity.allows(PartId(0)) && fixity.allows(PartId(1))
 }
 
-impl<S: Sink> PassState<'_, S> {
+impl<'a> FmLevel<'a> {
+    /// Sets up FM on `hg` from `initial`, with gain buckets wide enough for
+    /// runs under each of `policies`.
+    ///
+    /// # Errors
+    /// Same as [`BipartFm::run`].
+    pub(crate) fn new(
+        hg: &'a Hypergraph,
+        fixed: &'a FixedVertices,
+        balance: &'a BalanceConstraint,
+        initial: Vec<PartId>,
+        policies: impl IntoIterator<Item = SelectionPolicy>,
+        threads: usize,
+    ) -> Result<Self, PartitionError> {
+        if balance.num_parts() != 2 {
+            return Err(PartitionError::UnsupportedPartCount {
+                requested: balance.num_parts(),
+                supported: 2,
+            });
+        }
+        let partitioning = Partitioning::from_parts_fixed(hg, 2, initial, fixed)?;
+
+        let movable: Vec<bool> = hg.vertices().map(|v| is_movable(fixed, v)).collect();
+        // Maximum possible |gain| = largest total incident net weight over
+        // the *movable* vertices (immovable ones never enter the buckets;
+        // a clustered mega-terminal would otherwise blow the array up).
+        // Moves may transiently overshoot the balance window by the weight
+        // of the largest movable vertex (the classic FM relaxation); only
+        // strictly balanced prefixes are accepted.
+        let (mut num_movable, mut movable_pins, mut gain_bound) = (0, 0, 0i64);
+        let mut relax = vec![0u64; hg.num_resources()];
+        let mut net_mask = vec![0u8; hg.num_nets()];
+        for v in hg.vertices() {
+            let nets = hg.vertex_nets(v);
+            if !movable[v.index()] {
+                let side = FIXED_ON[partitioning.part_of(v).index()];
+                for &n in nets {
+                    net_mask[n.index()] |= side;
+                }
+                continue;
+            }
+            num_movable += 1;
+            movable_pins += nets.len();
+            let degree: i64 = nets.iter().map(|&n| hg.net_weight(n) as i64).sum();
+            gain_bound = gain_bound.max(degree);
+            for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
+                relax[r] = relax[r].max(w);
+            }
+        }
+        let gain_bound = gain_bound.max(1);
+        // CLIP keys are (gain - initial gain), so they span twice the range.
+        let clip = policies.into_iter().any(|p| p == SelectionPolicy::Clip);
+        let key_bound = if clip { 2 * gain_bound } else { gain_bound };
+
+        let n = hg.num_vertices();
+        Ok(FmLevel {
+            hg,
+            fixed,
+            balance,
+            partitioning,
+            movable,
+            num_movable,
+            movable_pins,
+            gain_bound,
+            relax,
+            gains: KwayGains::new(2, n, key_bound),
+            cache: vec![0i64; n],
+            cache_ready: false,
+            gain: vec![0i64; n],
+            locked: vec![false; n],
+            net_mask,
+            move_log: MoveLog::with_capacity(num_movable),
+            clip_order: Vec::new(),
+            gain_counts: Vec::new(),
+            stale: Vec::new(),
+            threads,
+            bucket_ops: 0,
+        })
+    }
+
+    /// Number of vertices that may move.
+    pub(crate) fn num_movable(&self) -> usize {
+        self.num_movable
+    }
+
+    /// Current cut.
+    pub(crate) fn cut(&self) -> u64 {
+        self.partitioning.cut_value(Objective::Cut)
+    }
+
+    /// The current assignment.
+    pub(crate) fn into_parts(self) -> Vec<PartId> {
+        self.partitioning.into_parts()
+    }
+
+    /// One FM run under `config`: passes until one fails to improve the
+    /// cut, `max_passes` is reached, or `cancel` fires.
+    pub(crate) fn run<S: Sink>(
+        &mut self,
+        config: &FmConfig,
+        sink: &S,
+        cancel: &CancelToken,
+    ) -> RunStats {
+        let mut stats = RunStats::default();
+        if cancel.is_cancelled() {
+            return stats;
+        }
+        for pass_idx in 0..config.max_passes {
+            let cutoff_active = pass_idx > 0 || config.cutoff_first_pass;
+            let (limit, stall_limit) = if cutoff_active {
+                let cutoff = config.cutoff;
+                (cutoff.limit(self.num_movable), cutoff.stall_limit())
+            } else {
+                (self.num_movable, usize::MAX)
+            };
+            let pass_stats =
+                self.run_pass(config.policy, pass_idx, limit, stall_limit, sink, cancel);
+            let improved = pass_stats.improved();
+            stats.passes.push(pass_stats);
+            if !improved || cancel.is_cancelled() {
+                break;
+            }
+        }
+        stats
+    }
+
+    /// Whether `cancel` has fired. If it has, records the run's
+    /// [`Event::Cancelled`] (stage `fm_pass`, value = current cut).
+    pub(crate) fn stop_if_cancelled<S: Sink>(&self, sink: &S, cancel: &CancelToken) -> bool {
+        let cancelled = cancel.is_cancelled();
+        if S::ENABLED && cancelled {
+            sink.record(&Event::Cancelled {
+                stage: CancelStage::FmPass,
+                value: self.cut(),
+            });
+        }
+        cancelled
+    }
+
     /// Executes one FM pass and restores the best prefix. Returns its stats
     /// and emits the pass's trace events into the sink.
     ///
@@ -446,36 +557,38 @@ impl<S: Sink> PassState<'_, S> {
     /// consecutive moves that land in a balanced state without beating the
     /// best prefix ([`crate::PassCutoff::Stall`]); an unbalanced state
     /// restarts that count.
-    fn run_pass(
+    fn run_pass<S: Sink>(
         &mut self,
+        policy: SelectionPolicy,
         pass: usize,
-        num_movable: usize,
         move_limit: usize,
         stall_limit: usize,
+        sink: &S,
+        cancel: &CancelToken,
     ) -> PassStats {
-        let cut_before = self.partitioning.cut_value(Objective::Cut);
+        let cut_before = self.cut();
         if S::ENABLED {
             self.bucket_ops = 0;
-            self.sink.record(&Event::PassStart {
+            sink.record(&Event::PassStart {
                 pass: pass as u32,
                 cut: cut_before,
-                movable: num_movable as u64,
+                movable: self.num_movable as u64,
                 move_limit: move_limit as u64,
             });
         }
-        self.prepare_buckets();
+        self.prepare_buckets::<S>(policy);
 
-        let mut move_log = MoveLog::with_capacity(move_limit);
+        self.move_log.clear();
         let mut best_cut = cut_before;
         let mut best_imbalance = self.imbalance();
         let mut stalled = 0usize;
 
-        while move_log.len() < move_limit {
+        while self.move_log.len() < move_limit {
             // Armed tokens are re-polled every CHECK_INTERVAL moves; the
             // best-prefix rollback below makes stopping mid-pass safe.
-            if !self.cancel.is_never()
-                && move_log.len().is_multiple_of(CHECK_INTERVAL)
-                && self.cancel.is_cancelled()
+            if !cancel.is_never()
+                && self.move_log.len().is_multiple_of(CHECK_INTERVAL)
+                && cancel.is_cancelled()
             {
                 break;
             }
@@ -489,9 +602,9 @@ impl<S: Sink> PassState<'_, S> {
             // The vertex's own gain entry can be bumped while its move is
             // applied; capture the realised gain first.
             let gain = self.gain[vertex.index()];
-            self.apply_move_with_gain_updates(vertex, from, to);
-            move_log.record(vertex, from);
-            let cut = self.partitioning.cut_value(Objective::Cut);
+            self.apply_move_with_gain_updates::<S>(vertex, from, to);
+            self.move_log.record(vertex, from);
+            let cut = self.cut();
             if S::ENABLED {
                 self.bucket_ops += 1; // the remove above
                 let fixity = if vertex.index() < self.fixed.len()
@@ -501,7 +614,7 @@ impl<S: Sink> PassState<'_, S> {
                 } else {
                     MoverFixity::Free
                 };
-                self.sink.record(&Event::MoveCommitted {
+                sink.record(&Event::MoveCommitted {
                     pass: pass as u32,
                     vertex: vertex.index() as u64,
                     gain,
@@ -518,7 +631,7 @@ impl<S: Sink> PassState<'_, S> {
             let imbalance = self.imbalance();
             if cut < best_cut || (cut == best_cut && imbalance < best_imbalance) {
                 best_cut = cut;
-                move_log.mark_best();
+                self.move_log.mark_best();
                 best_imbalance = imbalance;
                 stalled = 0;
             } else {
@@ -529,21 +642,26 @@ impl<S: Sink> PassState<'_, S> {
             }
         }
 
-        // Roll back everything after the best prefix.
-        let moves_made = move_log.len();
-        let best_len = move_log.best_len();
-        let (hg, partitioning) = (self.hg, &mut *self.partitioning);
-        move_log.rollback_to_best(|vertex, from| {
+        // Unlock this pass's movers, then roll back everything after the
+        // best prefix.
+        let moves_made = self.move_log.len();
+        let best_len = self.move_log.best_len();
+        for &(v, _) in self.move_log.entries() {
+            self.locked[v.index()] = false;
+            for &n in self.hg.vertex_nets(v) {
+                self.net_mask[n.index()] &= FIXED_ON[0] | FIXED_ON[1];
+            }
+        }
+        let (hg, partitioning) = (self.hg, &mut self.partitioning);
+        self.move_log.rollback_to_best(|vertex, from| {
             partitioning.move_vertex(hg, vertex, from);
         });
-        debug_assert_eq!(self.partitioning.cut_value(Objective::Cut), best_cut);
-
-        // Unlock for the next pass.
-        self.locked.fill(false);
-        self.gains.clear();
+        debug_assert_eq!(self.cut(), best_cut);
+        self.refresh_cache();
+        debug_assert_eq!(self.stale_cached_gain(), None, "gain cache out of date");
 
         if S::ENABLED {
-            self.sink.record(&Event::PassEnd {
+            sink.record(&Event::PassEnd {
                 pass: pass as u32,
                 moves: moves_made as u64,
                 best_prefix: best_len as u64,
@@ -555,7 +673,7 @@ impl<S: Sink> PassState<'_, S> {
 
         PassStats {
             pass,
-            movable: num_movable,
+            movable: self.num_movable,
             moves_made,
             moves_kept: best_len,
             cut_before,
@@ -571,45 +689,84 @@ impl<S: Sink> PassState<'_, S> {
         a.abs_diff(b)
     }
 
-    /// Computes all initial gains and fills the buckets.
+    /// Computes every movable vertex's gain into the cache from scratch.
     ///
-    /// Gains only read the (frozen) partitioning, so with a thread budget
-    /// they are precomputed in parallel; bucket insertion always replays in
-    /// the exact sequential order, keeping the run thread-count invariant.
-    fn prepare_buckets(&mut self) {
-        self.gains.clear();
-        let n = self.hg.num_vertices();
-        let workers = crate::parallel::effective_threads(self.threads, n, GAIN_INIT_GRAIN);
-        let pre: Option<Vec<i64>> = (workers > 1).then(|| {
-            let hg = self.hg;
-            let partitioning: &Partitioning = self.partitioning;
-            let movable = self.movable;
-            let mut out = vec![0i64; n];
-            crate::parallel::par_fill(&mut out, workers, |off, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let v = VertexId((off + i) as u32);
-                    if movable[v.index()] {
-                        *slot = initial_gain_of(hg, partitioning, v);
+    /// Gains only read the partitioning, so with a thread budget they are
+    /// computed in parallel, each exactly as the sequential code would.
+    fn compute_all_gains(&mut self) {
+        let (hg, partitioning, movable) = (self.hg, &self.partitioning, &self.movable);
+        let workers =
+            crate::parallel::effective_threads(self.threads, hg.num_vertices(), GAIN_INIT_GRAIN);
+        crate::parallel::par_fill(&mut self.cache, workers, |off, chunk| {
+            for (i, slot) in chunk.iter_mut().enumerate() {
+                let v = VertexId((off + i) as u32);
+                if movable[v.index()] {
+                    *slot = initial_gain_of(hg, partitioning, v);
+                }
+            }
+        });
+        self.cache_ready = true;
+    }
+
+    /// Brings the cache up to date after a pass's rollback, whose move log
+    /// now holds the kept moves: recomputes the gains of the movable pins
+    /// of every net a kept move touched, or every gain if that would cost
+    /// more than computing them all.
+    fn refresh_cache(&mut self) {
+        let hg = self.hg;
+        let mut cost = 0usize;
+        'collect: for &(v, _) in self.move_log.entries() {
+            for &n in hg.vertex_nets(v) {
+                let pins = hg.net_pins(n);
+                cost += pins.len();
+                for &u in pins {
+                    if self.movable[u.index()] && !self.locked[u.index()] {
+                        self.locked[u.index()] = true;
+                        self.stale.push(u);
+                        cost += hg.vertex_nets(u).len();
                     }
                 }
-            });
-            out
-        });
-        match self.policy {
+                if cost > self.movable_pins {
+                    break 'collect;
+                }
+            }
+        }
+        for &u in &self.stale {
+            self.locked[u.index()] = false;
+        }
+        if cost > self.movable_pins {
+            self.compute_all_gains();
+        } else {
+            for &u in &self.stale {
+                self.cache[u.index()] = initial_gain_of(hg, &self.partitioning, u);
+            }
+        }
+        self.stale.clear();
+    }
+
+    /// The first movable vertex whose cached gain differs from a
+    /// recomputation, if any (the cache is checked after every pass in
+    /// debug builds).
+    fn stale_cached_gain(&self) -> Option<VertexId> {
+        self.hg.vertices().find(|&v| {
+            self.movable[v.index()]
+                && self.cache[v.index()] != initial_gain_of(self.hg, &self.partitioning, v)
+        })
+    }
+
+    /// Seeds the pass's gains from the cache and fills the buckets.
+    fn prepare_buckets<S: Sink>(&mut self, policy: SelectionPolicy) {
+        if !self.cache_ready {
+            self.compute_all_gains();
+        }
+        self.gains.clear();
+        self.gain.copy_from_slice(&self.cache);
+        match policy {
             SelectionPolicy::Lifo => {
                 for v in self.hg.vertices() {
-                    if !self.movable[v.index()] {
-                        continue;
-                    }
-                    let g = match &pre {
-                        Some(gains) => gains[v.index()],
-                        None => self.initial_gain(v),
-                    };
-                    self.gain[v.index()] = g;
-                    let to = self.partitioning.part_of(v).other_side();
-                    self.gains.insert(v, to, g);
-                    if S::ENABLED {
-                        self.bucket_ops += 1;
+                    if self.movable[v.index()] {
+                        let to = self.partitioning.part_of(v).other_side();
+                        self.gains.insert(v, to, self.gain[v.index()]);
                     }
                 }
             }
@@ -619,35 +776,46 @@ impl<S: Sink> PassState<'_, S> {
                 // before any delta accumulates the selection degenerates to
                 // plain gain order; once moves start, the deltas cluster
                 // selection around recently moved vertices. Insertion is at
-                // the list head, so we insert in increasing-gain order.
-                let mut by_gain: Vec<(i64, VertexId)> = self
-                    .hg
-                    .vertices()
-                    .filter(|v| self.movable[v.index()])
-                    .map(|v| {
-                        let g = match &pre {
-                            Some(gains) => gains[v.index()],
-                            None => self.initial_gain(v),
-                        };
-                        (g, v)
-                    })
-                    .collect();
-                by_gain.sort_unstable();
-                for &(g, v) in &by_gain {
-                    self.gain[v.index()] = g;
+                // the list head, so we insert in increasing (gain, id) order.
+                self.order_by_increasing_gain();
+                for &v in &self.clip_order {
                     let to = self.partitioning.part_of(v).other_side();
                     self.gains.insert(v, to, 0);
-                    if S::ENABLED {
-                        self.bucket_ops += 1;
-                    }
                 }
             }
         }
+        if S::ENABLED {
+            self.bucket_ops += self.num_movable as u64;
+        }
     }
 
-    /// Gain of moving `v` to the other side under the cut objective.
-    fn initial_gain(&self, v: VertexId) -> i64 {
-        initial_gain_of(self.hg, self.partitioning, v)
+    /// Fills `clip_order` with the movable vertices sorted by (cached gain,
+    /// id): one counting pass over the gain range `±gain_bound`.
+    fn order_by_increasing_gain(&mut self) {
+        let bound = self.gain_bound;
+        let slot = |g: i64| (g + bound) as usize;
+        let counts = &mut self.gain_counts;
+        counts.clear();
+        counts.resize(slot(bound) + 1, 0);
+        for v in self.hg.vertices() {
+            if self.movable[v.index()] {
+                counts[slot(self.cache[v.index()])] += 1;
+            }
+        }
+        // Turn the counts into each gain's first position in the order.
+        let mut start = 0;
+        for c in counts.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        self.clip_order.clear();
+        self.clip_order.resize(self.num_movable, VertexId(0));
+        for v in self.hg.vertices() {
+            if self.movable[v.index()] {
+                let pos = &mut counts[slot(self.cache[v.index()])];
+                self.clip_order[*pos] = v;
+                *pos += 1;
+            }
+        }
     }
 
     /// Picks the highest-key feasible move over both sides. Ties between
@@ -695,13 +863,20 @@ impl<S: Sink> PassState<'_, S> {
     }
 
     /// Applies the standard FM delta-gain updates around the move of
-    /// `vertex` from `from` to `to`, then performs the move itself.
-    fn apply_move_with_gain_updates(&mut self, vertex: VertexId, from: PartId, to: PartId) {
-        let expected_cut = self
-            .partitioning
-            .cut_value(Objective::Cut)
-            .wrapping_sub(self.gain[vertex.index()] as u64);
+    /// `vertex` from `from` to `to`, then performs the move itself and
+    /// marks `vertex` locked on `to` in the net mask. Nets dead before the
+    /// move are skipped.
+    fn apply_move_with_gain_updates<S: Sink>(
+        &mut self,
+        vertex: VertexId,
+        from: PartId,
+        to: PartId,
+    ) {
+        let expected_cut = self.cut().wrapping_sub(self.gain[vertex.index()] as u64);
         for &n in self.hg.vertex_nets(vertex) {
+            if is_dead(self.net_mask[n.index()]) {
+                continue;
+            }
             let w = self.hg.net_weight(n) as i64;
             let to_count = self.partitioning.cut_state().pins_in(n, to);
             if to_count == 0 {
@@ -709,43 +884,48 @@ impl<S: Sink> PassState<'_, S> {
                 // gains from following the move.
                 for &u in self.hg.net_pins(n) {
                     if u != vertex {
-                        self.bump_gain(u, w);
+                        self.bump_gain::<S>(u, w);
                     }
                 }
             } else if to_count == 1 {
                 // The lone `to`-side pin loses its incentive to leave.
                 if let Some(u) = self.lone_pin(n, to) {
-                    self.bump_gain(u, -w);
+                    self.bump_gain::<S>(u, -w);
                 }
             }
         }
         self.partitioning.move_vertex(self.hg, vertex, to);
         for &n in self.hg.vertex_nets(vertex) {
+            let mask = self.net_mask[n.index()];
+            self.net_mask[n.index()] = mask | LOCKED_ON[to.index()];
+            if is_dead(mask) {
+                continue;
+            }
             let w = self.hg.net_weight(n) as i64;
             let from_count = self.partitioning.cut_state().pins_in(n, from);
             if from_count == 0 {
                 // Net no longer touches `from`: following moves stop paying.
                 for &u in self.hg.net_pins(n) {
                     if u != vertex {
-                        self.bump_gain(u, -w);
+                        self.bump_gain::<S>(u, -w);
                     }
                 }
             } else if from_count == 1 {
                 // The lone `from`-side pin can now uncut the net by moving.
                 if let Some(u) = self.lone_pin(n, from) {
-                    self.bump_gain(u, w);
+                    self.bump_gain::<S>(u, w);
                 }
             }
         }
         debug_assert_eq!(
-            self.partitioning.cut_value(Objective::Cut),
+            self.cut(),
             expected_cut,
             "gain of {vertex} disagreed with actual cut delta"
         );
     }
 
     /// Finds the single pin of `n` on `side` (caller guarantees exactly one).
-    fn lone_pin(&self, n: vlsi_hypergraph::NetId, side: PartId) -> Option<VertexId> {
+    fn lone_pin(&self, n: NetId, side: PartId) -> Option<VertexId> {
         self.hg
             .net_pins(n)
             .iter()
@@ -755,7 +935,7 @@ impl<S: Sink> PassState<'_, S> {
 
     /// Adds `delta` to `u`'s gain, updating its bucket key if unlocked.
     #[inline]
-    fn bump_gain(&mut self, u: VertexId, delta: i64) {
+    fn bump_gain<S: Sink>(&mut self, u: VertexId, delta: i64) {
         if delta == 0 {
             return;
         }
@@ -885,6 +1065,77 @@ mod tests {
                 assert!(report.is_valid(), "{policy:?} trial {trial}: {report}");
             }
         }
+    }
+
+    /// A random instance for the gain-cache test: weighted 2–4-pin nets,
+    /// `fixed_share` of the vertices fixed (a third of them "or"-fixed to
+    /// one side or to both, the latter still movable), and a random legal
+    /// initial solution. `None` when the fixing made it infeasible.
+    fn cache_case(fixed_share: f64, rng: &mut ChaCha8Rng) -> Option<StallCase> {
+        use vlsi_rng::Rng;
+        let n = rng.gen_range(20..150usize);
+        let hg = random_hg(n, rng.gen_range(n..4 * n), rng);
+        let mut fixed = FixedVertices::all_free(n);
+        for i in 0..n {
+            if rng.gen_bool(fixed_share) {
+                let v = VertexId(i as u32);
+                let side = PartId(rng.gen_range(0..2));
+                match rng.gen_range(0..6) {
+                    0 => fixed.fix_any(v, PartSet::single(side)),
+                    1 => fixed.fix_any(v, PartSet::all(2)),
+                    _ => fixed.fix(v, side),
+                }
+            }
+        }
+        let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.1));
+        let initial = crate::random_initial(&hg, &fixed, &balance, 2, rng).ok()?;
+        Some((hg, fixed, balance, initial))
+    }
+
+    /// After every pass, LIFO and CLIP alike, the cached gain of each
+    /// movable vertex equals the cut change of actually moving it.
+    #[test]
+    fn gain_cache_matches_recomputation_after_every_pass() {
+        let mut rng = ChaCha8Rng::seed_from_u64(61);
+        let (mut checked, mut kept) = (0, 0);
+        for trial in 0..80 {
+            let share = [0.0, 0.1, 0.25, 0.5][trial % 4];
+            let Some((hg, fixed, balance, initial)) = cache_case(share, &mut rng) else {
+                continue;
+            };
+            let policies = [SelectionPolicy::Lifo, SelectionPolicy::Clip];
+            let mut level = FmLevel::new(&hg, &fixed, &balance, initial, policies, 1).unwrap();
+            for pass in 0..6 {
+                let policy = policies[(trial + pass) % 2];
+                let limit = level.num_movable();
+                let stats = level.run_pass(
+                    policy,
+                    pass,
+                    limit,
+                    usize::MAX,
+                    &NullSink,
+                    &CancelToken::never(),
+                );
+                kept += stats.moves_kept;
+                let mut p = level.partitioning.clone();
+                for v in hg.vertices().filter(|&v| level.movable[v.index()]) {
+                    let (from, before) = (p.part_of(v), p.cut_value(Objective::Cut));
+                    p.move_vertex(&hg, v, from.other_side());
+                    let gain = before as i64 - p.cut_value(Objective::Cut) as i64;
+                    p.move_vertex(&hg, v, from);
+                    assert_eq!(
+                        level.cache[v.index()],
+                        gain,
+                        "trial {trial}, pass {pass} ({policy:?}): cached gain of {v}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+        assert!(
+            checked >= 300 && kept > 0,
+            "{checked} passes, {kept} kept moves"
+        );
     }
 
     #[test]

@@ -12,6 +12,6 @@
 mod engine;
 mod stats;
 
-pub(crate) use engine::is_movable;
+pub(crate) use engine::FmLevel;
 pub use engine::{BipartFm, FmResult, PassTrace};
 pub use stats::{PassStats, RunStats};

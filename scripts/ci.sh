@@ -53,6 +53,17 @@ echo "==> doc link + protocol doc gate"
 cargo test -q --offline -p fixed-vertices-repro --test doc_links
 cargo test -q --offline -p vlsi-service --test protocol_doc
 
+# Results gate: two checked-in experiment outputs without timing columns
+# must reproduce byte for byte from their fixed seeds (~3 s). A change to
+# the engines that moves a partition shows up here as a diff; regenerate
+# the file (command in EXPERIMENTS.md's artefact map) only when the change
+# is meant to move it, and say so in CHANGES.md.
+echo "==> results gate (pass_profile, hierarchy)"
+cargo run --release --offline -q -p vlsi-experiments --bin pass_profile -- \
+    --seed 1999 --scale 0.5 --trials 8 --circuit ibm01 | diff -u results/pass_profile.txt -
+cargo run --release --offline -q -p vlsi-experiments --bin hierarchy -- \
+    --seed 1999 --scale 0.25 --circuit ibm01 | diff -u results/hierarchy.txt -
+
 # Service soak smoke: bring up an in-process server, drive a bounded
 # mixed cold/warm workload over concurrent TCP connections, and fail on
 # any error or failed connection. Deeper gates (warm-start pass counts,
